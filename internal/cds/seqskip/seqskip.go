@@ -2,6 +2,12 @@
 // keys. It is the per-partition structure used by the flat-combining
 // skip-list (Section 4.2) and the reference implementation whose
 // traversal lengths calibrate β in the analytical model.
+//
+// Nodes live in a pointer-free slab: one 32-byte record per node, linked
+// by slab index rather than by pointer. A descent step at levels below
+// inline reads one record — key and link side by side — so each visit
+// the model charges as one memory access is one cache line on the host,
+// and the garbage collector never scans the structure.
 package seqskip
 
 import "sort"
@@ -27,15 +33,30 @@ type Op struct {
 	Key  int64
 }
 
+// inline is the number of tower levels stored in the node record
+// itself. A tower reaches level inline with probability 2^-inline, so
+// only about 6% of nodes spill into the shared upper pool.
+const inline = 4
+
+// node is one 32-byte slab record. Links are slab indices; index 0 is
+// the head sentinel, which is never anyone's successor, so a 0 link
+// also means nil. Levels inline..h-1 sit in List.upper at [up, up+h-inline).
+// A free record chains the next free record through next[0].
 type node struct {
 	key  int64
-	next []*node
+	next [inline]int32
+	up   int32
+	h    int32
 }
 
 // List is a sequential skip-list with a -∞ head sentinel. Create one
 // with New.
 type List struct {
-	head   *node
+	nodes  []node                        // slab; nodes[0] is the head
+	upper  []int32                       // links at levels ≥ inline; the head's block is at 0
+	free   int32                         // first free slab record, 0 = none
+	freeUp [MaxHeight - inline + 1]int32 // free upper blocks by width, 0 = none
+
 	height int // current tallest tower
 	size   int
 	rng    uint64
@@ -43,14 +64,23 @@ type List struct {
 	steps uint64 // node visits, for cost accounting
 }
 
+// initCap is the initial slab capacity. At 2 KiB and up, the runtime
+// places a slab at a multiple of 32 bytes (every size class from 256
+// bytes is a multiple of 32, and large objects are page-aligned), so no
+// 32-byte record straddles a 64-byte cache line.
+const initCap = 64
+
 // New returns an empty skip-list whose tower heights are drawn from the
 // deterministic stream seeded by seed (same seed ⇒ same shape).
 func New(seed uint64) *List {
-	return &List{
-		head:   &node{key: minKey, next: make([]*node, MaxHeight)},
+	l := &List{
+		nodes:  make([]node, 1, initCap),
+		upper:  make([]int32, MaxHeight-inline, initCap),
 		height: 1,
 		rng:    seed*2685821657736338717 + 1,
 	}
+	l.nodes[0] = node{key: minKey, h: MaxHeight}
+	return l
 }
 
 const minKey = -1 << 63
@@ -77,68 +107,192 @@ func (l *List) randLevel() int {
 	return h
 }
 
-// findPreds fills preds with the rightmost node before k on every
-// level and returns the node at k on the bottom level, if any.
-func (l *List) findPreds(k int64, preds *[MaxHeight]*node) *node {
-	x := l.head
-	for lvl := l.height - 1; lvl >= 0; lvl-- {
-		for x.next[lvl] != nil && x.next[lvl].key < k {
-			x = x.next[lvl]
-			l.steps++
+// next returns x's successor at level lvl (0 = none).
+func (l *List) next(x int32, lvl int) int32 {
+	if lvl < inline {
+		return l.nodes[x].next[lvl]
+	}
+	return l.upper[l.nodes[x].up+int32(lvl-inline)]
+}
+
+func (l *List) setNext(x int32, lvl int, y int32) {
+	if lvl < inline {
+		l.nodes[x].next[lvl] = y
+		return
+	}
+	l.upper[l.nodes[x].up+int32(lvl-inline)] = y
+}
+
+// walk advances from x along level lvl while the successor's key is
+// below k, charging one step per inspected successor (every advance,
+// plus the node it stops at), and returns the last node left of k.
+func (l *List) walk(x int32, lvl int, k int64) int32 {
+	for {
+		nx := l.next(x, lvl)
+		if nx == 0 {
+			return x
 		}
-		if x.next[lvl] != nil {
-			l.steps++ // inspected the stopping node
+		l.steps++
+		if l.nodes[nx].key >= k {
+			return x
+		}
+		x = nx
+	}
+}
+
+// findPreds fills preds with the rightmost node before k on every
+// level and returns the node at k on the bottom level, if any (0 if
+// not). It is walk unrolled over both storage tiers, because every
+// point op, scan and neighbor query pays for it.
+func (l *List) findPreds(k int64, preds *[MaxHeight]int32) int32 {
+	nodes, upper := l.nodes, l.upper
+	var x int32
+	var steps uint64
+	lvl := l.height - 1
+	for ; lvl >= inline; lvl-- {
+		for {
+			nx := upper[nodes[x].up+int32(lvl-inline)]
+			if nx == 0 {
+				break
+			}
+			steps++
+			if nodes[nx].key >= k {
+				break
+			}
+			x = nx
 		}
 		preds[lvl] = x
 	}
-	if c := x.next[0]; c != nil && c.key == k {
+	for ; lvl >= 0; lvl-- {
+		for {
+			nx := nodes[x].next[lvl]
+			if nx == 0 {
+				break
+			}
+			steps++
+			if nodes[nx].key >= k {
+				break
+			}
+			x = nx
+		}
+		preds[lvl] = x
+	}
+	l.steps += steps
+	if c := nodes[x].next[0]; c != 0 && nodes[c].key == k {
 		return c
 	}
-	return nil
+	return 0
 }
 
 // ContainsKey reports whether k is in the list.
 func (l *List) ContainsKey(k int64) bool {
-	var preds [MaxHeight]*node
-	return l.findPreds(k, &preds) != nil
+	var preds [MaxHeight]int32
+	return l.findPreds(k, &preds) != 0
 }
 
 // AddKey inserts k and reports whether it was absent.
 func (l *List) AddKey(k int64) bool {
-	var preds [MaxHeight]*node
-	if l.findPreds(k, &preds) != nil {
+	var preds [MaxHeight]int32
+	if l.findPreds(k, &preds) != 0 {
 		return false
 	}
-	lvl := l.randLevel()
-	for l.height < lvl {
-		preds[l.height] = l.head
+	l.insert(k, &preds)
+	return true
+}
+
+// insert links a new node for k after preds, drawing its height.
+func (l *List) insert(k int64, preds *[MaxHeight]int32) {
+	h := l.randLevel()
+	for l.height < h {
+		preds[l.height] = 0
 		l.height++
 	}
-	n := &node{key: k, next: make([]*node, lvl)}
-	for i := 0; i < lvl; i++ {
-		n.next[i] = preds[i].next[i]
-		preds[i].next[i] = n
+	n := l.alloc(k, h)
+	for i := 0; i < h; i++ {
+		l.setNext(n, i, l.next(preds[i], i))
+		l.setNext(preds[i], i, n)
 	}
 	l.size++
-	return true
+}
+
+// alloc takes a record (and, for towers taller than inline, an upper
+// block) from the free lists, or from the end of the slab and pool.
+// Links are left for the caller to set.
+func (l *List) alloc(k int64, h int) int32 {
+	n := l.free
+	if n != 0 {
+		l.free = l.nodes[n].next[0]
+	} else {
+		if len(l.nodes) == cap(l.nodes) {
+			l.nodes = growSlab(l.nodes)
+		}
+		n = int32(len(l.nodes))
+		l.nodes = l.nodes[:n+1]
+	}
+	var up int32
+	if w := h - inline; w > 0 {
+		if up = l.freeUp[w]; up != 0 {
+			l.freeUp[w] = l.upper[up]
+		} else {
+			for len(l.upper)+w > cap(l.upper) {
+				l.upper = growSlab(l.upper)
+			}
+			up = int32(len(l.upper))
+			l.upper = l.upper[:len(l.upper)+w]
+		}
+	}
+	l.nodes[n] = node{key: k, up: up, h: int32(h)}
+	return n
+}
+
+// growSlab grows s's capacity: doubling while small, then by a quarter,
+// so a large slab carries little unused capacity for the GC's heap goal
+// to count. It is the only allocation an insert can make, so churn at a
+// steady size allocates nothing.
+func growSlab[T node | int32](s []T) []T {
+	c := 2 * cap(s)
+	if cap(s) >= 1024 {
+		c = cap(s) + cap(s)/4
+	}
+	if c > 1<<31-1 {
+		panic("seqskip: slab exceeds 2^31-1 entries")
+	}
+	grown := make([]T, len(s), c) //pimvet:allow allocfree: amortized growth to the high-water size; steady churn reuses freed records
+	copy(grown, s)
+	return grown
+}
+
+// unlink removes c, whose predecessors are preds, from every level of
+// its tower, lowers the list height past emptied top levels, and puts
+// c's record and upper block on the free lists.
+func (l *List) unlink(c int32, preds *[MaxHeight]int32) {
+	h := int(l.nodes[c].h)
+	for i := 0; i < h; i++ {
+		if l.next(preds[i], i) == c {
+			l.setNext(preds[i], i, l.next(c, i))
+		}
+	}
+	for l.height > 1 && l.next(0, l.height-1) == 0 {
+		l.height--
+	}
+	if w := h - inline; w > 0 {
+		up := l.nodes[c].up
+		l.upper[up] = l.freeUp[w]
+		l.freeUp[w] = up
+	}
+	l.nodes[c].next[0] = l.free
+	l.free = c
+	l.size--
 }
 
 // RemoveKey deletes k and reports whether it was present.
 func (l *List) RemoveKey(k int64) bool {
-	var preds [MaxHeight]*node
+	var preds [MaxHeight]int32
 	c := l.findPreds(k, &preds)
-	if c == nil {
+	if c == 0 {
 		return false
 	}
-	for i := 0; i < len(c.next); i++ {
-		if preds[i].next[i] == c {
-			preds[i].next[i] = c.next[i]
-		}
-	}
-	for l.height > 1 && l.head.next[l.height-1] == nil {
-		l.height--
-	}
-	l.size--
+	l.unlink(c, &preds)
 	return true
 }
 
@@ -159,8 +313,8 @@ func (l *List) Apply(op Op) bool {
 // Keys returns the keys in ascending order (for tests).
 func (l *List) Keys() []int64 {
 	keys := make([]int64, 0, l.size)
-	for n := l.head.next[0]; n != nil; n = n.next[0] {
-		keys = append(keys, n.key)
+	for n := l.nodes[0].next[0]; n != 0; n = l.nodes[n].next[0] {
+		keys = append(keys, l.nodes[n].key)
 	}
 	return keys
 }
@@ -169,18 +323,18 @@ func (l *List) Keys() []int64 {
 // PIM skip-list's migration protocol uses it to walk a partition's
 // nodes in ascending order.
 func (l *List) Successor(k int64) (int64, bool) {
-	var preds [MaxHeight]*node
+	var preds [MaxHeight]int32
 	l.findPreds(k, &preds)
-	if n := preds[0].next[0]; n != nil {
-		return n.key, true
+	if n := l.nodes[preds[0]].next[0]; n != 0 {
+		return l.nodes[n].key, true
 	}
 	return 0, false
 }
 
 // Min returns the smallest key and whether the list is non-empty.
 func (l *List) Min() (int64, bool) {
-	if n := l.head.next[0]; n != nil {
-		return n.key, true
+	if n := l.nodes[0].next[0]; n != 0 {
+		return l.nodes[n].key, true
 	}
 	return 0, false
 }
@@ -189,26 +343,26 @@ func (l *List) Min() (int64, bool) {
 // walk rides the top levels right, so it costs O(log n) expected steps
 // rather than a bottom-level traversal.
 func (l *List) Max() (int64, bool) {
-	x := l.head
+	var x int32
 	for lvl := l.height - 1; lvl >= 0; lvl-- {
-		for x.next[lvl] != nil {
-			x = x.next[lvl]
+		for nx := l.next(x, lvl); nx != 0; nx = l.next(x, lvl) {
+			x = nx
 			l.steps++
 		}
 	}
-	if x == l.head {
+	if x == 0 {
 		return 0, false
 	}
-	return x.key, true
+	return l.nodes[x].key, true
 }
 
 // PredKey returns the largest key strictly less than k and whether one
 // exists.
 func (l *List) PredKey(k int64) (int64, bool) {
-	var preds [MaxHeight]*node
+	var preds [MaxHeight]int32
 	l.findPreds(k, &preds)
-	if p := preds[0]; p != l.head {
-		return p.key, true
+	if p := preds[0]; p != 0 {
+		return l.nodes[p].key, true
 	}
 	return 0, false
 }
@@ -216,16 +370,16 @@ func (l *List) PredKey(k int64) (int64, bool) {
 // SuccKey returns the smallest key strictly greater than k and whether
 // one exists.
 func (l *List) SuccKey(k int64) (int64, bool) {
-	var preds [MaxHeight]*node
-	var n *node
-	if c := l.findPreds(k, &preds); c != nil {
-		n = c.next[0]
+	var preds [MaxHeight]int32
+	var n int32
+	if c := l.findPreds(k, &preds); c != 0 {
+		n = l.nodes[c].next[0]
 		l.steps++
 	} else {
-		n = preds[0].next[0]
+		n = l.nodes[preds[0]].next[0]
 	}
-	if n != nil {
-		return n.key, true
+	if n != 0 {
+		return l.nodes[n].key, true
 	}
 	return 0, false
 }
@@ -234,21 +388,15 @@ func (l *List) SuccKey(k int64) (int64, bool) {
 // The minimum's predecessor at every level is the head sentinel, so
 // the unlink needs no descent.
 func (l *List) PopMinKey() (int64, bool) {
-	n := l.head.next[0]
-	if n == nil {
+	n := l.nodes[0].next[0]
+	if n == 0 {
 		return 0, false
 	}
 	l.steps++
-	for i := 0; i < len(n.next); i++ {
-		if l.head.next[i] == n {
-			l.head.next[i] = n.next[i]
-		}
-	}
-	for l.height > 1 && l.head.next[l.height-1] == nil {
-		l.height--
-	}
-	l.size--
-	return n.key, true
+	k := l.nodes[n].key
+	var heads [MaxHeight]int32
+	l.unlink(n, &heads)
+	return k, true
 }
 
 // PopMaxKey removes and returns the largest key (ok=false on empty).
@@ -273,18 +421,19 @@ func (l *List) RangeScanInto(lo, hi int64, limit int, arena []int64) ([]int64, i
 	if lo >= hi {
 		return arena, 0, cursor
 	}
-	var preds [MaxHeight]*node
+	var preds [MaxHeight]int32
 	l.findPreds(lo, &preds)
+	nodes := l.nodes
 	count := 0
-	for n := preds[0].next[0]; n != nil && n.key < hi; n = n.next[0] {
+	for n := nodes[preds[0]].next[0]; n != 0 && nodes[n].key < hi; n = nodes[n].next[0] {
 		if limit > 0 && count == limit {
-			cursor = n.key
+			cursor = nodes[n].key
 			break
 		}
-		arena = append(arena, n.key)
+		arena = append(arena, nodes[n].key)
 		count++
-		l.steps++
 	}
+	l.steps += uint64(count)
 	return arena, count, cursor
 }
 
@@ -308,68 +457,40 @@ func (l *List) ApplyBatch(ops []Op) []bool {
 	}
 	sort.SliceStable(idx, func(a, b int) bool { return ops[idx[a]].Key < ops[idx[b]].Key })
 
-	var finger [MaxHeight]*node
-	for i := range finger {
-		finger[i] = l.head
-	}
+	// finger starts at the head (0) on every level.
+	var finger [MaxHeight]int32
 	for _, i := range idx {
 		op := ops[i]
 		// Resume each level from the finger (whose key is < every
 		// remaining key, since keys ascend and fingers only hold
 		// predecessors of earlier keys). Mutations invalidate nothing:
 		// adds splice after the finger, removes unlink nodes at or
-		// after it, and sentinel fingers never get deleted because a
-		// finger node always has key < op.Key.
-		x := l.head
-		var preds [MaxHeight]*node
+		// after it, so a finger's record is never freed and reused.
+		var x int32
+		var preds [MaxHeight]int32
 		for lvl := l.height - 1; lvl >= 0; lvl-- {
-			if finger[lvl] != nil && finger[lvl].key > x.key && finger[lvl].key < op.Key {
+			if f := l.nodes[finger[lvl]].key; f > l.nodes[x].key && f < op.Key {
 				x = finger[lvl]
 			}
-			for x.next[lvl] != nil && x.next[lvl].key < op.Key {
-				x = x.next[lvl]
-				l.steps++
-			}
-			if x.next[lvl] != nil {
-				l.steps++
-			}
+			x = l.walk(x, lvl, op.Key)
 			preds[lvl] = x
 		}
-		c := x.next[0]
-		found := c != nil && c.key == op.Key
+		c := l.nodes[x].next[0]
+		found := c != 0 && l.nodes[c].key == op.Key
 
 		switch op.Kind {
 		case Contains:
 			results[i] = found
 		case Add:
-			if found {
-				results[i] = false
-				break
-			}
-			lvlN := l.randLevel()
-			for l.height < lvlN {
-				preds[l.height] = l.head
-				l.height++
-			}
-			n := &node{key: op.Key, next: make([]*node, lvlN)}
-			for j := 0; j < lvlN; j++ {
-				n.next[j] = preds[j].next[j]
-				preds[j].next[j] = n
-			}
-			l.size++
-			results[i] = true
-		case Remove:
 			if !found {
-				results[i] = false
-				break
+				l.insert(op.Key, &preds)
 			}
-			for j := 0; j < len(c.next); j++ {
-				if j < l.height && preds[j].next[j] == c {
-					preds[j].next[j] = c.next[j]
-				}
+			results[i] = !found
+		case Remove:
+			if found {
+				l.unlink(c, &preds)
 			}
-			l.size--
-			results[i] = true
+			results[i] = found
 		}
 		finger = preds
 	}

@@ -38,7 +38,7 @@ func steadyBatch(n int) []pendingOp {
 
 func TestApplyBatchAllocs(t *testing.T) {
 	skipIfRace(t)
-	for _, structure := range []string{StructList, StructQueue, StructStack} {
+	for _, structure := range []string{StructList, StructSkip, StructQueue, StructStack} {
 		t.Run(structure, func(t *testing.T) {
 			be, err := newBackend(structure, 0, 1)
 			if err != nil {
@@ -52,7 +52,7 @@ func TestApplyBatchAllocs(t *testing.T) {
 				results: make([]wire.Result, wire.MaxOpsPerFrame),
 			}
 			switch structure {
-			case StructList:
+			case StructList, StructSkip:
 				sh.batch = append(sh.batch, steadyBatch(64)...)
 				// Preload the even keys so removals in the steady batch
 				// always find their node.
@@ -100,7 +100,13 @@ func TestApplyBatchAllocs(t *testing.T) {
 // per-delivery copies happen outside the pinned window.
 func TestApplyBatchOrderedAllocs(t *testing.T) {
 	skipIfRace(t)
-	be, err := newBackend(StructList, 0, 1)
+	for _, structure := range []string{StructList, StructSkip} {
+		t.Run(structure, func(t *testing.T) { checkOrderedAllocs(t, structure) })
+	}
+}
+
+func checkOrderedAllocs(t *testing.T, structure string) {
+	be, err := newBackend(structure, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

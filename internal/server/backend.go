@@ -27,9 +27,10 @@ import (
 // is //pimvet:nonblocking), so every implementation must be marked
 // //pimvet:nonblocking — pimvet cannot see through the interface call,
 // so the contract is enforced on each implementation instead. The
-// list/queue/stack backends are additionally //pimvet:allocfree; skip
-// and hash structures allocate on insert by nature (towers, chain
-// entries) and carry only the nonblocking mark.
+// list/skip/queue/stack backends are additionally //pimvet:allocfree:
+// they grow storage geometrically and recycle freed slots. The
+// hash backend allocates a chain entry per insert and carries only the
+// nonblocking mark.
 type backend interface {
 	// ApplyBatch serves one combiner pass. len(out) == len(ops).
 	ApplyBatch(ops []wire.Op, out []wire.Result, arena []int64) []int64
@@ -184,16 +185,15 @@ func (b *listBackend) RestoreState(vals []int64)       { restoreState(b, wire.Ad
 
 // skipBackend serves set ops on a sequential skip-list, applying the
 // batch in publication order (any serialization of a concurrent batch
-// is linearizable). Adds allocate towers, so this backend is
-// nonblocking but not allocfree. starts/counts park each scan's arena
-// segment until the batch is done and the arena has stopped moving.
+// is linearizable). starts/counts park each scan's arena segment until
+// the batch is done and the arena has stopped moving.
 type skipBackend struct {
 	l      *seqskip.List
 	starts []int // scratch: scan arena offsets by op index
 	counts []int // scratch: scan cardinalities by op index
 }
 
-//pimvet:nonblocking
+//pimvet:allocfree //pimvet:nonblocking
 //pimvet:window
 func (b *skipBackend) ApplyBatch(ops []wire.Op, out []wire.Result, arena []int64) []int64 {
 	scans := false

@@ -260,11 +260,14 @@ func TestManyClientsRace(t *testing.T) {
 	final := make(map[int64]bool)
 	// Replay in End order: combiner passes are serial per shard and
 	// keys are shard-disjoint, so End order is a legal serialization.
+	// Every op of one batch shares its End, and the log holds a batch
+	// in apply order, so the sort must be stable: an add and a remove
+	// of one key in one batch must replay in the order they ran.
 	ordered := make([]int, len(ops))
 	for i := range ordered {
 		ordered[i] = i
 	}
-	sort.Slice(ordered, func(a, b int) bool { return ops[ordered[a]].End < ops[ordered[b]].End })
+	sort.SliceStable(ordered, func(a, b int) bool { return ops[ordered[a]].End < ops[ordered[b]].End })
 	for _, i := range ordered {
 		op := ops[i]
 		switch op.Action {
@@ -328,7 +331,7 @@ func TestGracefulDrainLosesNoAckedOps(t *testing.T) {
 		ids map[uint64]bool
 	}
 	tallies := make([]clientTally, nClients)
-	var ackedLive atomic.Int64
+	ackedLive := make([]atomic.Int64, nClients)
 	var wg sync.WaitGroup
 	stopSend := make(chan struct{})
 	for cl := 0; cl < nClients; cl++ {
@@ -397,7 +400,7 @@ func TestGracefulDrainLosesNoAckedOps(t *testing.T) {
 						t.Errorf("client %d: duplicate response for id %d", cl, r.ID)
 					}
 					ids[r.ID] = true
-					ackedLive.Add(1)
+					ackedLive[cl].Add(1)
 				}
 			}
 			<-done
@@ -406,8 +409,19 @@ func TestGracefulDrainLosesNoAckedOps(t *testing.T) {
 
 	// Let traffic build — wait for real round trips, not wall time, so
 	// a loaded machine can't drain before anything was acknowledged —
-	// then shut down concurrently with active senders.
-	for deadline := time.Now().Add(5 * time.Second); ackedLive.Load() < nClients*pipeline; {
+	// then shut down concurrently with active senders. Every client
+	// must have an ack first: one still in the accept backlog when the
+	// listener closes is reset, which would fail its read for a reason
+	// the drain contract does not cover.
+	allAcked := func() bool {
+		for cl := range ackedLive {
+			if ackedLive[cl].Load() == 0 {
+				return false
+			}
+		}
+		return true
+	}
+	for deadline := time.Now().Add(5 * time.Second); !allAcked(); {
 		if time.Now().After(deadline) {
 			break // final acked==0 check will report it
 		}

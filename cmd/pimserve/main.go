@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	pimserve -structure skip -shards 8 -addr :7070 -metrics :7071
+//	pimserve -structure skip -shards 8 -addr :7070 -ops-addr :7071
 //	pimserve -structure queue -addr :7070
 //	pimserve -structure hash -wal-dir /var/lib/pimserve -fsync batch
 //
@@ -35,7 +35,6 @@ import (
 func main() {
 	var (
 		addr        = flag.String("addr", "127.0.0.1:7070", "TCP listen address")
-		metricsAddr = flag.String("metrics", "", "HTTP address serving the obs metrics snapshot at /metrics (empty = off)")
 		structure   = flag.String("structure", "skip", "data structure: list|skip|hash|queue|stack")
 		shards      = flag.Int("shards", 8, "combiner shards (sets are range-partitioned; queue/stack require 1)")
 		keySpace    = flag.Int64("keyspace", 1<<16, "exclusive key bound for set structures")
@@ -45,7 +44,7 @@ func main() {
 		idleTimeout = flag.Duration("idle-timeout", 0, "close connections idle this long (0 = never)")
 		writeTO     = flag.Duration("write-timeout", 30*time.Second, "per-frame write deadline to slow clients")
 		seed        = flag.Int64("seed", 1, "skip-list tower seed")
-		opsAddr     = flag.String("ops-addr", "", "HTTP ops endpoint: Prometheus /metrics, /metrics/history, /healthz, /buildinfo, /slow, /trace, /debug/pprof (empty = off)")
+		opsAddr     = flag.String("ops-addr", "", "HTTP ops endpoint: Prometheus /metrics, JSON /metrics.json, /metrics/history, /healthz, /buildinfo, /slow, /trace, /debug/pprof (empty = off)")
 		traceSample = flag.Float64("trace-sample", 0, "fraction of request frames to trace (0 = only client-requested)")
 		traceRing   = flag.Int("trace-ring", 256, "finished spans retained per shard for /trace")
 		slowThresh  = flag.Duration("slow-threshold", 0, "log sampled requests at least this slow to /slow (0 = off)")
@@ -103,21 +102,6 @@ func main() {
 	if *walDir != "" {
 		fmt.Fprintf(os.Stderr, "pimserve: durable (wal-dir %s, fsync %s, snapshot every %v)\n",
 			*walDir, *fsync, *snapEvery)
-	}
-
-	if *metricsAddr != "" {
-		mln, err := net.Listen("tcp", *metricsAddr)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "pimserve: metrics on http://%s/metrics\n", mln.Addr())
-		go func() {
-			mux := http.NewServeMux()
-			mux.Handle("/metrics", server.MetricsHandler(reg))
-			// Ignore the error on shutdown: the process is exiting.
-			http.Serve(mln, mux)
-		}()
 	}
 
 	if *opsAddr != "" {

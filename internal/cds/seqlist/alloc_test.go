@@ -10,7 +10,8 @@ import (
 // TestApplyBatchIntoSteadyStateAllocs pins ApplyBatchInto's
 // //pimvet:allocfree annotation: once the sort scratch has grown to the
 // batch size and the free list holds recycled nodes, a size-stable
-// batch (every Remove paired with an Add) must not touch the heap.
+// point-only batch (every Remove paired with an Add) must not touch
+// the heap.
 func TestApplyBatchIntoSteadyStateAllocs(t *testing.T) {
 	if testenv.RaceEnabled {
 		t.Skip("AllocsPerRun is not meaningful under the race detector")
@@ -29,16 +30,16 @@ func TestApplyBatchIntoSteadyStateAllocs(t *testing.T) {
 			seqlist.Op{Kind: seqlist.Add, Key: k},
 		)
 	}
-	results := make([]bool, len(ops))
-	l.ApplyBatchInto(ops, results) // warm the sort scratch
+	results := make([]seqlist.OpResult, len(ops))
+	l.ApplyBatchInto(ops, results, nil) // warm the sort scratch
 	avg := testing.AllocsPerRun(100, func() {
-		l.ApplyBatchInto(ops, results)
+		l.ApplyBatchInto(ops, results, nil)
 	})
 	if avg != 0 {
 		t.Errorf("ApplyBatchInto steady state: %.1f allocs/op, want 0", avg)
 	}
-	for i, ok := range results {
-		if !ok {
+	for i, r := range results {
+		if !r.OK {
 			t.Fatalf("op %d (%+v) unexpectedly failed", i, ops[i])
 		}
 	}

@@ -19,7 +19,7 @@ func fill(t *testing.T, keys ...int64) *List {
 
 func applyOne(l *List, op Op) (OpResult, []int64) {
 	res := make([]OpResult, 1)
-	arena := l.ApplyOrderedBatchInto([]Op{op}, res, nil)
+	arena := l.ApplyBatchInto([]Op{op}, res, nil)
 	r := res[0]
 	if !r.Scan {
 		return r, nil
@@ -149,7 +149,7 @@ func TestPopMinPopMaxEdgeCases(t *testing.T) {
 }
 
 // TestOrderedBatchMatchesSerialExecution drives random mixed batches
-// through ApplyOrderedBatchInto and through one-op-at-a-time execution
+// through ApplyBatchInto and through one-op-at-a-time execution
 // in the serialization the batch documents (pops in batch order first,
 // then remaining ops sorted by key, ties in batch order); the results
 // and final contents must agree exactly.
@@ -173,7 +173,7 @@ func TestOrderedBatchMatchesSerialExecution(t *testing.T) {
 			ops[i] = op
 		}
 		res := make([]OpResult, n)
-		arena := batched.ApplyOrderedBatchInto(ops, res, nil)
+		arena := batched.ApplyBatchInto(ops, res, nil)
 
 		// Serial reference: same serialization, one op at a time.
 		order := make([]int, 0, n)
@@ -193,7 +193,7 @@ func TestOrderedBatchMatchesSerialExecution(t *testing.T) {
 
 		for _, i := range order {
 			want := make([]OpResult, 1)
-			wantArena := serial.ApplyOrderedBatchInto(ops[i:i+1], want, nil)
+			wantArena := serial.ApplyBatchInto(ops[i:i+1], want, nil)
 			got, w := res[i], want[0]
 			if got.OK != w.OK || got.Value != w.Value || got.N != w.N || got.Scan != w.Scan {
 				t.Fatalf("round %d op %d (%+v): batch %+v, serial %+v", round, i, ops[i], got, w)

@@ -194,69 +194,18 @@ func (l *List) Apply(op Op) bool {
 	}
 }
 
-// ApplyBatch executes a batch of operations in one traversal — the
-// combining optimization of Section 4.1. Operations are served in
-// ascending key order (ties in batch order), so the whole batch costs
-// one walk to the largest requested key instead of one walk per
-// operation. Results are returned in the batch's original order.
-//
-// Reordering operations with distinct keys is linearizable: the batch
-// is concurrent, so any serialization is legal; same-key operations
-// keep their relative order.
+// ApplyBatch executes a batch of point operations in one traversal —
+// the combining optimization of Section 4.1 — and returns each op's
+// result in the batch's original order. It is ApplyBatchInto with
+// freshly allocated results, for callers off the hot path.
 func (l *List) ApplyBatch(ops []Op) []bool {
-	results := make([]bool, len(ops))
-	l.ApplyBatchInto(ops, results)
-	return results
-}
-
-// ApplyBatchInto is ApplyBatch writing into a caller-provided results
-// slice (len(results) must equal len(ops)): the allocation-free form a
-// combiner calls every pass. Sort scratch and freed nodes are recycled
-// inside the List, so a batch no larger than any before it, against a
-// list no larger than its high-water mark, allocates nothing.
-//
-//pimvet:allocfree //pimvet:nonblocking
-func (l *List) ApplyBatchInto(ops []Op, results []bool) {
-	if len(ops) == 0 {
-		return
+	res := make([]OpResult, len(ops))
+	l.ApplyBatchInto(ops, res, nil)
+	oks := make([]bool, len(ops))
+	for i, r := range res {
+		oks[i] = r.OK
 	}
-	if cap(l.idx) < len(ops) {
-		l.idx = make([]int, len(ops)) //pimvet:allow allocfree: amortized grow to the largest batch; steady state reuses
-		l.tmp = make([]int, len(ops)) //pimvet:allow allocfree: amortized grow to the largest batch; steady state reuses
-	}
-	idx := l.idx[:len(ops)]
-	for i := range idx {
-		idx[i] = i
-	}
-	stableSortByKey(ops, idx, l.tmp[:len(ops)])
-
-	pred := l.head
-	for _, i := range idx {
-		op := ops[i]
-		pred = l.find(pred, op.Key)
-		switch op.Kind {
-		case Contains:
-			results[i] = pred.next != nil && pred.next.key == op.Key
-		case Add:
-			if pred.next != nil && pred.next.key == op.Key {
-				results[i] = false
-			} else {
-				pred.next = l.newNode(op.Key, pred.next)
-				l.size++
-				results[i] = true
-			}
-		case Remove:
-			if pred.next != nil && pred.next.key == op.Key {
-				gone := pred.next
-				pred.next = gone.next
-				l.freeNode(gone)
-				l.size--
-				results[i] = true
-			} else {
-				results[i] = false
-			}
-		}
-	}
+	return oks
 }
 
 // PopMinKey removes and returns the smallest key (ok=false on empty).
@@ -292,22 +241,29 @@ func (l *List) PopMaxKey() (int64, bool) {
 	return k, true
 }
 
-// ApplyOrderedBatchInto executes a batch that may mix point ops with
-// the ordered kinds, in one shared traversal, appending scan keys to
-// arena and returning the (possibly grown) arena. len(res) must equal
-// len(ops). The serialization it answers for is: all PopMin/PopMax in
-// batch order first, then the remaining ops in ascending key order
-// (ties in batch order) — legal for a concurrent batch, where any
-// serialization is linearizable. The keyed ops share one finger walk
-// exactly like ApplyBatchInto: a scan's descent to lo rides the
-// finger, and only its own span walk is private.
+// ApplyBatchInto executes a batch of operations — point ops mixed with
+// any of the ordered kinds — in one shared traversal, the combining
+// optimization of Section 4.1. It appends scan keys to arena and
+// returns the (possibly grown) arena; len(res) must equal len(ops).
+// The serialization it answers for is: all PopMin/PopMax in batch
+// order first, then the remaining ops in ascending key order (ties in
+// batch order), so the keyed ops cost one walk to the largest
+// requested key instead of one walk per op. Reordering is
+// linearizable: the batch is concurrent, so any serialization is
+// legal, and same-key ops keep their relative order. A scan's descent
+// to lo rides the shared finger; only its own span walk is private.
 //
 // A scan with Hi ≤ Key is a legal empty scan (complete, cursor = Hi).
 // When a scan hits its limit, the cursor is the first unreturned key,
 // so paginating clients resume exactly there.
 //
+// This is the allocation-free form a combiner calls every pass. Sort
+// scratch and freed nodes are recycled inside the List, so a batch no
+// larger than any before it, against a list no larger than its
+// high-water mark, allocates nothing beyond arena growth.
+//
 //pimvet:allocfree //pimvet:nonblocking
-func (l *List) ApplyOrderedBatchInto(ops []Op, res []OpResult, arena []int64) []int64 {
+func (l *List) ApplyBatchInto(ops []Op, res []OpResult, arena []int64) []int64 {
 	if len(ops) == 0 {
 		return arena
 	}

@@ -3,8 +3,8 @@ package pimskip
 import (
 	"fmt"
 
+	"pimds/internal/obs"
 	"pimds/internal/sim"
-	"pimds/internal/stats"
 )
 
 // Partitioned range queries over the PIM skip-list. A client issues
@@ -111,7 +111,7 @@ type RangeClient struct {
 
 	// Latency records full-scan response times (first page issued to
 	// final cursor, including rejection retries) in picoseconds.
-	Latency *stats.Histogram
+	Latency *obs.Histogram
 
 	// Stats.
 	Completed    uint64 // fully paginated scans
@@ -131,7 +131,7 @@ type RangeClient struct {
 // NewRangeClient registers a closed-loop range-scan client issuing the
 // query stream produced by next. Call Start to begin.
 func (s *SkipList) NewRangeClient(next func(seq uint64) RangeOp) *RangeClient {
-	rc := &RangeClient{s: s, dir: s.auth.Clone(), next: next, Latency: stats.NewHistogram(16)}
+	rc := &RangeClient{s: s, dir: s.auth.Clone(), next: next, Latency: &obs.Histogram{}}
 	rc.cpu = s.eng.NewCPU(rc.onMessage)
 	s.rclients = append(s.rclients, rc)
 	return rc
@@ -196,7 +196,7 @@ func (rc *RangeClient) onMessage(c *sim.CPU, m sim.Message) {
 		c.CountOp()
 		c.ProfOpEnd()
 		d := c.Clock() - rc.issuedAt
-		rc.Latency.Add(int64(d))
+		rc.Latency.Observe(int64(d))
 		rc.s.eng.RecordOpLatency(MsgRange, d)
 		if rc.OnScan != nil {
 			rc.OnScan(rc.cur, rc.keys)

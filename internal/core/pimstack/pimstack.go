@@ -19,8 +19,8 @@ package pimstack
 import (
 	"fmt"
 
+	"pimds/internal/obs"
 	"pimds/internal/sim"
-	"pimds/internal/stats"
 )
 
 // Message kinds for the stack protocol.
@@ -314,7 +314,7 @@ type Client struct {
 	issuedAt  sim.Time
 
 	// Latency records response times in picoseconds.
-	Latency *stats.Histogram
+	Latency *obs.Histogram
 
 	// Stats and hooks.
 	Pushed     uint64
@@ -331,7 +331,7 @@ type Client struct {
 
 // NewClient registers a closed-loop client. Call Start to begin.
 func (s *Stack) NewClient(role Role) *Client {
-	cl := &Client{s: s, idx: len(s.clients), role: role, Latency: stats.NewHistogram(16)}
+	cl := &Client{s: s, idx: len(s.clients), role: role, Latency: &obs.Histogram{}}
 	cl.cpu = s.eng.NewCPU(cl.onMessage)
 	cl.topOwner = s.cores[0].core.ID()
 	s.clients = append(s.clients, cl)
@@ -399,7 +399,7 @@ func (cl *Client) onMessage(c *sim.CPU, m sim.Message) {
 		cl.Pushed++
 		c.CountOp()
 		c.ProfOpEnd()
-		cl.Latency.Add(int64(c.Clock() - cl.issuedAt))
+		cl.Latency.Observe(int64(c.Clock() - cl.issuedAt))
 		cl.s.eng.RecordOpLatency(MsgPush, c.Clock()-cl.issuedAt)
 		if cl.OnComplete != nil {
 			cl.OnComplete(cl.issuedAt, c.Clock(), MsgPush, int64(cl.idx)<<32|(cl.seq-1), true)
@@ -409,7 +409,7 @@ func (cl *Client) onMessage(c *sim.CPU, m sim.Message) {
 		cl.Popped++
 		c.CountOp()
 		c.ProfOpEnd()
-		cl.Latency.Add(int64(c.Clock() - cl.issuedAt))
+		cl.Latency.Observe(int64(c.Clock() - cl.issuedAt))
 		cl.s.eng.RecordOpLatency(MsgPop, c.Clock()-cl.issuedAt)
 		if cl.OnPop != nil {
 			cl.OnPop(m.Key)

@@ -22,9 +22,9 @@ import (
 	"pimds/internal/core/pimskip"
 	"pimds/internal/core/pimstack"
 	"pimds/internal/model"
+	"pimds/internal/obs"
 	"pimds/internal/prof"
 	"pimds/internal/sim"
-	"pimds/internal/stats"
 )
 
 // Options configures an experiment run.
@@ -899,7 +899,7 @@ func LatencyExp(o Options) []*Table {
 			"mem%", "msg%", "queue%", "comb%", "svc%"},
 		Note: "attribution columns are profiler critical-path shares; the combining list trades one round trip of low-load latency (comb%) for batching throughput",
 	}
-	ps := func(h *stats.Histogram) (string, string, string) {
+	ps := func(h *obs.Histogram) (string, string, string) {
 		p50, p95, p99 := h.Percentiles()
 		return sim.Time(p50).String(), sim.Time(p95).String(), sim.Time(p99).String()
 	}
@@ -929,7 +929,7 @@ func LatencyExp(o Options) []*Table {
 		e.SetProfiler(pr)
 		l := pimlist.New(e, cfg.combining)
 		l.Preload(PreloadKeys(keySpace))
-		agg := stats.NewHistogram(16)
+		agg := &obs.Histogram{}
 		var clients []*sim.Client
 		for i := 0; i < cfg.p; i++ {
 			g := NewGenerator(so.seed(int64(600+i)), Uniform{N: keySpace}, Balanced())
@@ -950,7 +950,7 @@ func LatencyExp(o Options) []*Table {
 		e.SetProfiler(pr)
 		s := pimskip.New(e, 1<<14, 8, 23)
 		s.Preload(PreloadKeys(1 << 14))
-		agg := stats.NewHistogram(16)
+		agg := &obs.Histogram{}
 		var cls []*pimskip.Client
 		for i := 0; i < 16; i++ {
 			g := NewGenerator(so.seed(int64(650+i)), Uniform{N: 1 << 14}, Balanced())
@@ -986,7 +986,7 @@ func LatencyExp(o Options) []*Table {
 			vals[i] = int64(i)
 		}
 		q.Preload(vals)
-		agg := stats.NewHistogram(16)
+		agg := &obs.Histogram{}
 		var cls []*pimqueue.Client
 		var cpus []*sim.CPU
 		for i := 0; i < 12; i++ {

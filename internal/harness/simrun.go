@@ -9,8 +9,8 @@ import (
 	"pimds/internal/core/pimqueue"
 	"pimds/internal/core/pimskip"
 	"pimds/internal/model"
+	"pimds/internal/obs"
 	"pimds/internal/sim"
-	"pimds/internal/stats"
 )
 
 // SimOpts configures one virtual-time measurement.
@@ -59,7 +59,7 @@ func (o SimOpts) quickened() SimOpts {
 type RunResult struct {
 	Completed uint64
 	Ops       float64
-	Latency   *stats.Histogram
+	Latency   *obs.Histogram
 }
 
 // Percentiles renders the latency histogram's p50/p95/p99 as
@@ -85,7 +85,7 @@ func SimList(o SimOpts, variant model.ListAlgorithm, p int, keySpace int64) RunR
 	case model.PIMListNoCombining, model.PIMListCombining:
 		l := pimlist.New(e, variant == model.PIMListCombining)
 		l.Preload(keys)
-		agg := stats.NewHistogram(16)
+		agg := &obs.Histogram{}
 		var clients []*sim.Client
 		for i := 0; i < p; i++ {
 			g := NewGenerator(o.seed(int64(1000+i)), dist, Balanced())
@@ -131,7 +131,7 @@ func SimSkipPIM(o SimOpts, k, p int, keySpace int64) (res RunResult, beta float6
 	e := sim.NewEngine(sim.ConfigFromParams(o.Params))
 	s := pimskip.New(e, keySpace, k, 23)
 	s.Preload(PreloadKeys(keySpace))
-	agg := stats.NewHistogram(16)
+	agg := &obs.Histogram{}
 	for i := 0; i < p; i++ {
 		g := NewGenerator(o.seed(int64(90+i)), Uniform{N: keySpace}, Balanced())
 		cl := s.NewClient(g.SkipStream())
@@ -240,7 +240,7 @@ func SimPIMQueue(o SimOpts, r QueueRegime) RunResult {
 		}
 		q.Preload(vals)
 	}
-	agg := stats.NewHistogram(16)
+	agg := &obs.Histogram{}
 	var cpus []*sim.CPU
 	var clients []*pimqueue.Client
 	for i := 0; i < r.Enqueuers; i++ {

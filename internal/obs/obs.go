@@ -116,7 +116,9 @@ func (g *FloatGauge) Value() float64 {
 // Histogram is a lock-free log-bucketed histogram of positive int64
 // observations (latencies in picoseconds, batch sizes, …): each octave
 // [2^b, 2^(b+1)) is split into histSub linear sub-buckets, giving a
-// worst-case relative quantile error of 1/histSub ≈ 12%.
+// worst-case relative quantile error of 1/histSub ≈ 6%. The in-octave
+// arithmetic overflows from 2^59 up (about 18 years in nanoseconds), so
+// larger observations land in an inexact sub-bucket.
 type Histogram struct {
 	counts [64 * histSub]atomic.Uint64
 	total  atomic.Uint64
@@ -124,8 +126,9 @@ type Histogram struct {
 	max    atomic.Int64
 }
 
-// histSub is the per-octave linear resolution.
-const histSub = 8
+// histSub is the per-octave linear resolution; the simulator's latency
+// tables are reported at 16.
+const histSub = 16
 
 // bucketIndex maps a positive observation to its bucket.
 func bucketIndex(v int64) int {

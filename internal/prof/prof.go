@@ -32,8 +32,8 @@
 package prof
 
 import (
+	"pimds/internal/obs"
 	"pimds/internal/sim"
-	"pimds/internal/stats"
 )
 
 // Component is a latency-model component to which virtual time is
@@ -182,7 +182,7 @@ type Profiler struct {
 type kindAgg struct {
 	count    uint64
 	totalPS  int64
-	lat      *stats.Histogram
+	lat      *obs.Histogram
 	comp     [numComponents]int64
 	combined uint64
 	batchSum uint64
@@ -495,13 +495,13 @@ func (p *Profiler) finalize(r *request, end sim.Time) {
 	p.completedN++
 	agg := p.kinds[r.kind]
 	if agg == nil {
-		agg = &kindAgg{lat: stats.NewHistogram(16)}
+		agg = &kindAgg{lat: &obs.Histogram{}}
 		p.kinds[r.kind] = agg
 	}
 	total := int64(end - r.issued)
 	agg.count++
 	agg.totalPS += total
-	agg.lat.Add(total)
+	agg.lat.Observe(total)
 	for i := range r.comp {
 		agg.comp[i] += r.comp[i]
 	}

@@ -18,7 +18,6 @@ import (
 	"pimds/internal/obs"
 	"pimds/internal/prof"
 	"pimds/internal/sim"
-	"pimds/internal/stats"
 )
 
 // scenario builds one profiled simulation and runs it to completion of
@@ -406,13 +405,13 @@ func TestSnapshotsDeterministic(t *testing.T) {
 func TestLatencyMatchesClientHistogram(t *testing.T) {
 	e := sim.NewEngine(testConfig())
 	p := prof.New(e, prof.Options{Structure: "list", KindName: pimlist.KindName})
-	mine := stats.NewHistogram(16)
-	p.OnComplete = func(r *prof.Record) { mine.Add(r.LatencyPS) }
+	mine := &obs.Histogram{}
+	p.OnComplete = func(r *prof.Record) { mine.Observe(r.LatencyPS) }
 	e.SetProfiler(p)
 
 	l := pimlist.New(e, true)
 	l.Preload(harness.PreloadKeys(128))
-	agg := stats.NewHistogram(16)
+	agg := &obs.Histogram{}
 	var clients []*sim.Client
 	for i := 0; i < 8; i++ {
 		g := harness.NewGenerator(1+int64(i), harness.Uniform{N: 128}, harness.Balanced())

@@ -94,7 +94,6 @@ func newBackend(structure string, shard int, seed int64) (backend, error) {
 		return &listBackend{
 			l:   seqlist.New(),
 			ops: make([]seqlist.Op, 0, wire.MaxOpsPerFrame),
-			oks: make([]bool, wire.MaxOpsPerFrame),
 			res: make([]seqlist.OpResult, wire.MaxOpsPerFrame),
 		}, nil
 	case StructSkip:
@@ -130,42 +129,27 @@ var listKinds = [wire.NumKinds]seqlist.OpKind{
 
 // listBackend serves set ops on a sorted linked list, using the
 // paper's combining optimization: the whole batch is sorted and served
-// in one traversal. A batch of point ops takes the original
-// ApplyBatchInto path; a batch containing ordered ops takes
-// ApplyOrderedBatchInto, which shares a single finger walk between
-// point ops, neighbor queries and range scans. ops/oks/res are
-// preallocated at the frame cap so translation in and out of wire types
-// allocates nothing.
+// in one traversal by seqlist.ApplyBatchInto, which shares a single
+// finger walk between point ops, neighbor queries and range scans.
+// ops/res are preallocated at the frame cap so translation in and out
+// of wire types allocates nothing.
 type listBackend struct {
 	l   *seqlist.List
 	ops []seqlist.Op       // scratch
-	oks []bool             // scratch (point-only path)
-	res []seqlist.OpResult // scratch (ordered path)
+	res []seqlist.OpResult // scratch
 }
 
 //pimvet:allocfree //pimvet:nonblocking
 //pimvet:window
 func (b *listBackend) ApplyBatch(ops []wire.Op, out []wire.Result, arena []int64) []int64 {
 	b.ops = b.ops[:0]
-	ordered := false
 	for _, op := range ops {
 		b.ops = append(b.ops, seqlist.Op{
 			Kind: listKinds[op.Kind], Key: op.Key, Hi: op.Hi, Limit: int(op.Limit),
 		})
-		if op.Kind.Ordered() {
-			ordered = true
-		}
-	}
-	if !ordered {
-		oks := b.oks[:len(ops)]
-		b.l.ApplyBatchInto(b.ops, oks)
-		for i, op := range ops {
-			out[i] = wire.Result{ID: op.ID, Status: wire.StatusOK, OK: oks[i]}
-		}
-		return arena
 	}
 	res := b.res[:len(ops)]
-	arena = b.l.ApplyOrderedBatchInto(b.ops, res, arena)
+	arena = b.l.ApplyBatchInto(b.ops, res, arena)
 	for i, op := range ops {
 		r := res[i]
 		out[i] = wire.Result{ID: op.ID, Status: wire.StatusOK, OK: r.OK, Value: r.Value}

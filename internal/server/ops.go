@@ -14,7 +14,7 @@ import (
 // cmd/pimserve on the -ops-addr listener:
 //
 //	/metrics          Prometheus text exposition of the registry
-//	/metrics.json     the JSON snapshot (same document as -metrics)
+//	/metrics.json     the JSON snapshot (same document as pimsim -metrics)
 //	/metrics/history  windowed per-interval deltas (see Config.WindowTick)
 //	/healthz          rule-driven health verdict; 503 when not ready
 //	/buildinfo        version, git revision and toolchain of this binary
@@ -33,7 +33,12 @@ func (s *Server) OpsHandler() http.Handler {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 		}
 	})
-	mux.Handle("/metrics.json", MetricsHandler(s.cfg.Reg))
+	mux.HandleFunc("/metrics.json", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		if err := s.cfg.Reg.WriteJSON(w); err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+		}
+	})
 	mux.HandleFunc("/metrics/history", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		if err := s.win.WriteJSON(w); err != nil {

@@ -466,9 +466,14 @@ func TestGracefulDrainLosesNoAckedOps(t *testing.T) {
 
 func TestMetricsHandler(t *testing.T) {
 	reg := obs.NewRegistry()
+	srv, err := server.New(server.Config{Structure: server.StructList, Reg: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Shutdown()
 	reg.Counter("server/ops/total").Add(3)
 	rec := httptest.NewRecorder()
-	server.MetricsHandler(reg).ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	srv.OpsHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics.json", nil))
 	if rec.Code != 200 {
 		t.Fatalf("status %d", rec.Code)
 	}
@@ -525,11 +530,16 @@ func TestBackpressureBoundedQueues(t *testing.T) {
 	}
 }
 
-func ExampleMetricsHandler() {
+func ExampleServer_OpsHandler() {
 	reg := obs.NewRegistry()
+	srv, err := server.New(server.Config{Structure: server.StructList, Reg: reg})
+	if err != nil {
+		panic(err)
+	}
+	defer srv.Shutdown()
 	reg.Counter("server/conns/total").Inc()
 	rec := httptest.NewRecorder()
-	server.MetricsHandler(reg).ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
-	fmt.Println(rec.Code)
-	// Output: 200
+	srv.OpsHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics.json", nil))
+	fmt.Println(rec.Code, rec.Header().Get("Content-Type"))
+	// Output: 200 application/json
 }

@@ -294,7 +294,6 @@ func TestMetricsScrapeDuringDrain(t *testing.T) {
 		TraceSample: 0.5, Reg: reg,
 	})
 	ops := srv.OpsHandler()
-	jsonH := server.MetricsHandler(reg)
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -339,7 +338,7 @@ func TestMetricsScrapeDuringDrain(t *testing.T) {
 				t.Errorf("scrape %d: status %d", i, rec.Code)
 			}
 			rec = httptest.NewRecorder()
-			jsonH.ServeHTTP(rec, httptest.NewRequest("GET", "/", nil))
+			ops.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics.json", nil))
 			var snap obs.Snapshot
 			if err := json.Unmarshal(rec.Body.Bytes(), &snap); err != nil {
 				t.Errorf("scrape %d: bad JSON: %v", i, err)

@@ -91,11 +91,6 @@ const NumKinds = int(numKinds)
 // Valid reports whether k is a defined operation kind.
 func (k OpKind) Valid() bool { return k < numKinds }
 
-// Ordered reports whether k is an ordered-structure operation: one
-// that needs the V2 request encoding (Hi/Limit) or returns
-// variable-length results.
-func (k OpKind) Ordered() bool { return k >= RangeScan && k < numKinds }
-
 // Mutating reports whether k can change structure state. Only mutating
 // ops need to reach a write-ahead log: Contains/RangeScan/Pred/Succ
 // leave the structure untouched, and the conditional mutators (a failed

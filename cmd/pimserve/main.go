@@ -15,7 +15,7 @@
 // 0 with a summary on stderr. Acknowledged operations are never lost.
 package main
 
-//pimvet:allow-file determinism: server binary configures wall-clock deadlines and combine windows for the host-side network server; no simulated state involved
+//pimvet:allow-file determinism: server binary configures wall-clock deadlines and intervals for the host-side network server; no simulated state involved
 
 import (
 	"flag"
@@ -39,8 +39,6 @@ func main() {
 		shards      = flag.Int("shards", 8, "combiner shards (sets are range-partitioned; queue/stack require 1)")
 		keySpace    = flag.Int64("keyspace", 1<<16, "exclusive key bound for set structures")
 		queueDepth  = flag.Int("queue-depth", 1024, "per-shard pending-op queue capacity (backpressure bound)")
-		batchMax    = flag.Int("batch-max", 0, "max ops per combiner pass (0 = wire frame limit)")
-		combineWait = flag.Duration("combine-wait", 0, "extra time a combiner lingers to grow a batch (0 = serve immediately)")
 		idleTimeout = flag.Duration("idle-timeout", 0, "close connections idle this long (0 = never)")
 		writeTO     = flag.Duration("write-timeout", 30*time.Second, "per-frame write deadline to slow clients")
 		seed        = flag.Int64("seed", 1, "skip-list tower seed")
@@ -72,8 +70,6 @@ func main() {
 		Shards:        *shards,
 		KeySpace:      *keySpace,
 		QueueDepth:    *queueDepth,
-		BatchMax:      *batchMax,
-		CombineWait:   *combineWait,
 		IdleTimeout:   *idleTimeout,
 		WriteTimeout:  *writeTO,
 		Seed:          *seed,

@@ -157,9 +157,8 @@ func (h *Histogram) Observe(v int64) {
 	if v < 1 {
 		v = 1
 	}
-	h.counts[bucketIndex(v)].Add(1)
-	h.total.Add(1)
-	h.sum.Add(v)
+	// Raise max before the bucket so that a snapshot, which reads the
+	// buckets first and max after, never counts a value above its max.
 	for {
 		cur := h.max.Load()
 		if v <= cur {
@@ -169,6 +168,9 @@ func (h *Histogram) Observe(v int64) {
 			break
 		}
 	}
+	h.counts[bucketIndex(v)].Add(1)
+	h.total.Add(1)
+	h.sum.Add(v)
 }
 
 // N returns the number of observations (0 through nil).
@@ -274,7 +276,9 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	counts := make([]uint64, 64*histSub)
 	var total uint64
 	// Observe increments the bucket before the total, so a full bucket
-	// scan sees at least every observation a prior total read covers.
+	// scan sees at least every observation a prior total read covers;
+	// it raises max before the bucket, so the max read after the scan
+	// is at least every value the scan counted.
 	for i := range h.counts {
 		c := h.counts[i].Load()
 		counts[i] = c

@@ -28,8 +28,8 @@ const (
 	// for the combiner to drain it. Analogue of CompQueueing.
 	SrvQueueWait
 	// SrvCombineWait: picked up by the combiner but waiting while the
-	// batch finishes gathering (greedy drain + CombineWait linger) —
-	// the cost combining trades against per-op dispatch. Analogue of
+	// batch finishes its greedy, non-blocking gather — the cost
+	// combining trades against per-op dispatch. Analogue of
 	// CompCombiner.
 	SrvCombineWait
 	// SrvApply: the combiner's batch executing against the sequential

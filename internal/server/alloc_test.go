@@ -10,7 +10,7 @@ import (
 
 // These tests pin the //pimvet:allocfree annotations on the server's
 // combining window with the runtime's allocation counter: once the
-// shard scratch and structure free lists are warm, a combine pass over
+// pass and structure free lists are warm, a combine pass over
 // a size-stable batch must not touch the heap — a GC pause inside
 // applyBatch stalls every published op on the shard.
 
@@ -45,15 +45,11 @@ func TestApplyBatchAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 			s := &Server{cfg: Config{}.withDefaults(), epoch: time.Now()}
-			sh := &shard{
-				be:      be,
-				batch:   make([]pendingOp, 0, wire.MaxOpsPerFrame),
-				ops:     make([]wire.Op, 0, wire.MaxOpsPerFrame),
-				results: make([]wire.Result, wire.MaxOpsPerFrame),
-			}
+			sh := &shard{be: be}
+			ps := newPass(sh, false)
 			switch structure {
 			case StructList, StructSkip:
-				sh.batch = append(sh.batch, steadyBatch(64)...)
+				ps.batch = append(ps.batch, steadyBatch(64)...)
 				// Preload the even keys so removals in the steady batch
 				// always find their node.
 				pre := make([]wire.Op, 64)
@@ -64,32 +60,57 @@ func TestApplyBatchAllocs(t *testing.T) {
 				be.ApplyBatch(pre, out, nil)
 			case StructQueue:
 				for i := 0; i < 64; i++ {
-					sh.batch = append(sh.batch,
+					ps.batch = append(ps.batch,
 						pendingOp{op: wire.Op{Kind: wire.Enqueue, Key: int64(i)}},
 						pendingOp{op: wire.Op{Kind: wire.Dequeue}},
 					)
 				}
 			case StructStack:
 				for i := 0; i < 64; i++ {
-					sh.batch = append(sh.batch,
+					ps.batch = append(ps.batch,
 						pendingOp{op: wire.Op{Kind: wire.Push, Key: int64(i)}},
 						pendingOp{op: wire.Op{Kind: wire.Pop}},
 					)
 				}
 			}
-			s.applyBatch(sh, false) // warm scratch and free lists
+			s.applyBatch(sh, ps) // warm scratch and free lists
 			avg := testing.AllocsPerRun(100, func() {
-				s.applyBatch(sh, false)
+				s.applyBatch(sh, ps)
 			})
 			if avg != 0 {
 				t.Errorf("applyBatch(%s) steady state: %.1f allocs/op, want 0", structure, avg)
 			}
-			for i := range sh.batch {
-				if sh.results[i].Status != wire.StatusOK {
-					t.Fatalf("op %d: status %v", i, sh.results[i].Status)
+			for i := range ps.batch {
+				if ps.results[i].Status != wire.StatusOK {
+					t.Fatalf("op %d: status %v", i, ps.results[i].Status)
 				}
 			}
 		})
+	}
+}
+
+// TestApplyBatchDurableAllocs pins the durable window: with a WAL the
+// same pass also stages its record into the pass's preallocated
+// buffer, which must not allocate either.
+func TestApplyBatchDurableAllocs(t *testing.T) {
+	skipIfRace(t)
+	be, err := newBackend(StructSkip, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := &Server{cfg: Config{}.withDefaults(), epoch: time.Now(), wal: &walState{}}
+	sh := &shard{be: be}
+	ps := newPass(sh, true)
+	ps.batch = append(ps.batch, steadyBatch(64)...)
+	s.applyBatch(sh, ps) // warm free lists
+	avg := testing.AllocsPerRun(100, func() {
+		s.applyBatch(sh, ps)
+	})
+	if avg != 0 {
+		t.Errorf("durable applyBatch steady state: %.1f allocs/op, want 0", avg)
+	}
+	if len(ps.buf) == 0 || sh.walSeq == 0 {
+		t.Fatalf("no record staged: %d bytes, seq %d", len(ps.buf), sh.walSeq)
 	}
 }
 
@@ -111,12 +132,8 @@ func checkOrderedAllocs(t *testing.T, structure string) {
 		t.Fatal(err)
 	}
 	s := &Server{cfg: Config{}.withDefaults(), epoch: time.Now()}
-	sh := &shard{
-		be:      be,
-		batch:   make([]pendingOp, 0, wire.MaxOpsPerFrame),
-		ops:     make([]wire.Op, 0, wire.MaxOpsPerFrame),
-		results: make([]wire.Result, wire.MaxOpsPerFrame),
-	}
+	sh := &shard{be: be}
+	ps := newPass(sh, false)
 	pre := make([]wire.Op, 128)
 	out := make([]wire.Result, 128)
 	for i := range pre {
@@ -125,7 +142,7 @@ func checkOrderedAllocs(t *testing.T, structure string) {
 	be.ApplyBatch(pre, out, nil)
 	// Size-stable mix: each round pops the extremes and re-adds them,
 	// with scans and neighbor queries interleaved.
-	sh.batch = append(sh.batch,
+	ps.batch = append(ps.batch,
 		pendingOp{op: wire.Op{ID: 1, Kind: wire.PopMin}},
 		pendingOp{op: wire.Op{ID: 2, Kind: wire.PopMax}},
 		pendingOp{op: wire.Op{ID: 3, Kind: wire.Add, Key: 0}},
@@ -136,19 +153,19 @@ func checkOrderedAllocs(t *testing.T, structure string) {
 		pendingOp{op: wire.Op{ID: 8, Kind: wire.RangeScan, Key: 100, Hi: 200, Limit: 32}},
 		pendingOp{op: wire.Op{ID: 9, Kind: wire.Contains, Key: 50}},
 	)
-	s.applyBatch(sh, false) // warm arena and sort scratch
+	s.applyBatch(sh, ps) // warm arena and sort scratch
 	avg := testing.AllocsPerRun(100, func() {
-		s.applyBatch(sh, false)
+		s.applyBatch(sh, ps)
 	})
 	if avg != 0 {
 		t.Errorf("ordered applyBatch steady state: %.1f allocs/op, want 0", avg)
 	}
-	for i := range sh.batch {
-		if sh.results[i].Status != wire.StatusOK {
-			t.Fatalf("op %d: status %v", i, sh.results[i].Status)
+	for i := range ps.batch {
+		if ps.results[i].Status != wire.StatusOK {
+			t.Fatalf("op %d: status %v", i, ps.results[i].Status)
 		}
 	}
-	if n := len(sh.results[4].Values); n != 16 {
+	if n := len(ps.results[4].Values); n != 16 {
 		t.Fatalf("scan returned %d values, want 16", n)
 	}
 }

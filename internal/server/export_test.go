@@ -7,6 +7,11 @@ package server
 //pimvet:rotator test-only deterministic rotation
 func (s *Server) RotateOnce() { s.rotateOnce() }
 
+// HistoryOp maps a client-observed op and result onto the
+// linearizability checker's vocabulary, through the same mapping the
+// server's op log uses.
+var HistoryOp = historyOp
+
 // RecoverForTest runs WAL recovery (snapshot restore + log replay +
 // pipeline start) without a listener, so tests can rebuild state and
 // inspect it directly.

@@ -33,57 +33,64 @@ func (l *OpLog) record(batch []pendingOp, results []wire.Result, end int64) {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	for i, p := range batch {
-		res := results[i]
-		op := linearize.Op{
-			Start:  p.start,
-			End:    end,
-			Client: p.conn.id,
-			Input:  p.op.Key,
-			OK:     res.OK,
-		}
-		switch p.op.Kind {
-		case wire.Contains:
-			op.Action = linearize.ActContains
-		case wire.Add:
-			op.Action = linearize.ActAdd
-		case wire.Remove:
-			op.Action = linearize.ActRemove
-		case wire.Enqueue:
-			op.Action = linearize.ActEnqueue
-		case wire.Dequeue:
-			op.Action = linearize.ActDequeue
-			op.Output = res.Value
-		case wire.Push:
-			op.Action = linearize.ActPush
-		case wire.Pop:
-			op.Action = linearize.ActPop
-			op.Output = res.Value
-		case wire.RangeScan:
-			// p.op carries the reader-clamped Hi and Limit — the bounds
-			// the scan actually ran with. Outputs aliases the combiner's
-			// per-pass copy of the scan values, which is never mutated
-			// after delivery.
-			op.Action = linearize.ActScan
-			op.Input2 = p.op.Hi
-			op.Limit = int(p.op.Limit)
-			op.Output = res.Value
-			op.Outputs = res.Values
-		case wire.Pred:
-			op.Action = linearize.ActPred
-			op.Output = res.Value
-		case wire.Succ:
-			op.Action = linearize.ActSucc
-			op.Output = res.Value
-		case wire.PopMin:
-			op.Action = linearize.ActPopMin
-			op.Output = res.Value
-		case wire.PopMax:
-			op.Action = linearize.ActPopMax
-			op.Output = res.Value
-		}
-		l.ops = append(l.ops, op)
+	for i := range batch {
+		p := &batch[i]
+		l.ops = append(l.ops, historyOp(p.op, results[i], p.start, end, p.conn.id))
 	}
+}
+
+// historyOp maps one operation and its result onto the checker's
+// vocabulary over the interval [start, end]. The server log passes the
+// op as the combiner ran it; a client passes the op as sent.
+func historyOp(o wire.Op, res wire.Result, start, end int64, client int) linearize.Op {
+	op := linearize.Op{
+		Start:  start,
+		End:    end,
+		Client: client,
+		Input:  o.Key,
+		OK:     res.OK,
+	}
+	switch o.Kind {
+	case wire.Contains:
+		op.Action = linearize.ActContains
+	case wire.Add:
+		op.Action = linearize.ActAdd
+	case wire.Remove:
+		op.Action = linearize.ActRemove
+	case wire.Enqueue:
+		op.Action = linearize.ActEnqueue
+	case wire.Dequeue:
+		op.Action = linearize.ActDequeue
+		op.Output = res.Value
+	case wire.Push:
+		op.Action = linearize.ActPush
+	case wire.Pop:
+		op.Action = linearize.ActPop
+		op.Output = res.Value
+	case wire.RangeScan:
+		// The server log's op carries the reader-clamped Hi and Limit —
+		// the bounds the scan actually ran with. Outputs aliases the
+		// combiner's per-pass copy of the scan values, which is never
+		// mutated after delivery.
+		op.Action = linearize.ActScan
+		op.Input2 = o.Hi
+		op.Limit = int(o.Limit)
+		op.Output = res.Value
+		op.Outputs = res.Values
+	case wire.Pred:
+		op.Action = linearize.ActPred
+		op.Output = res.Value
+	case wire.Succ:
+		op.Action = linearize.ActSucc
+		op.Output = res.Value
+	case wire.PopMin:
+		op.Action = linearize.ActPopMin
+		op.Output = res.Value
+	case wire.PopMax:
+		op.Action = linearize.ActPopMax
+		op.Output = res.Value
+	}
+	return op
 }
 
 // Ops returns a copy of the recorded history. Call at quiescence (after

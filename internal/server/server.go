@@ -19,7 +19,7 @@
 // acknowledged operation is ever lost (the e2e tests assert this).
 package server
 
-//pimvet:allow-file determinism: the network server runs on real wall-clock time by design — connection deadlines, combine windows and latency metrics measure the host, not simulated virtual time; nothing here feeds back into the simulator
+//pimvet:allow-file determinism: the network server runs on real wall-clock time by design — connection deadlines, span stamps and latency metrics measure the host, not simulated virtual time; nothing here feeds back into the simulator
 
 import (
 	"bufio"
@@ -59,18 +59,6 @@ type Config struct {
 	// readers (backpressure). Default 1024.
 	QueueDepth int
 
-	// BatchMax caps the operations one combiner pass executes.
-	// Default wire.MaxOpsPerFrame.
-	BatchMax int
-
-	// CombineWait is how long a combiner lingers for more operations
-	// after its greedy drain came up short of BatchMax. Zero (the
-	// default) never waits: a pass serves whatever has accumulated,
-	// which already yields batch sizes ≈ the number of concurrently
-	// publishing connections under load. Setting a small window trades
-	// latency for bigger batches on lightly loaded shards.
-	CombineWait time.Duration
-
 	// IdleTimeout closes connections with no complete frame for this
 	// long. Zero disables the deadline.
 	IdleTimeout time.Duration
@@ -107,15 +95,10 @@ type Config struct {
 
 	// WindowTick enables windowed metrics and the health engine: a
 	// dedicated ticker goroutine rotates Reg's state into tiered delta
-	// rings (obs.DefaultTiers(WindowTick) unless WindowTiers overrides)
-	// every WindowTick and re-evaluates the health rules on each
+	// rings (obs.DefaultTiers(WindowTick)) every WindowTick and re-evaluates the health rules on each
 	// rotation. Zero disables the window: /metrics/history serves an
 	// empty history and /healthz reports only drain state.
 	WindowTick time.Duration
-
-	// WindowTiers overrides the window's retention tiers. Nil selects
-	// obs.DefaultTiers(WindowTick).
-	WindowTiers []obs.Tier
 
 	// HealthRules overrides the rule set evaluated on every rotation.
 	// Nil selects DefaultHealthRules(0).
@@ -155,9 +138,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.QueueDepth == 0 {
 		c.QueueDepth = 1024
-	}
-	if c.BatchMax == 0 || c.BatchMax > wire.MaxOpsPerFrame {
-		c.BatchMax = wire.MaxOpsPerFrame
 	}
 	if c.WriteTimeout == 0 {
 		c.WriteTimeout = 30 * time.Second
@@ -201,12 +181,6 @@ type conn struct {
 	inflight sync.WaitGroup
 	closeOut sync.Once
 	failed   atomic.Bool // writer hit an error; discard further output
-}
-
-// deliver hands one result to the connection's writer. Blocks when the
-// writer is behind (bounded by WriteTimeout failing the conn).
-func (c *conn) deliver(d delivery) {
-	c.out <- d
 }
 
 // sampleHit advances the connection's private xorshift64 state and
@@ -270,34 +244,62 @@ type Server struct {
 }
 
 // shard is one combiner: a bounded publication queue plus the
-// sequential structure only its loop touches. batch/ops/results are the
-// combiner's scratch, preallocated at BatchMax in New so a combine pass
-// allocates nothing; only the combiner goroutine touches them. arena is
-// the pass-local store for range-scan values: backends append into it,
-// results reference segments of it, and the combiner copies those
-// segments out before the next pass truncates it, so its capacity
-// amortizes to the largest scan pass.
+// sequential structure only its loop touches. free holds the shard's
+// passes (see pass); arena is the pass-local store for range-scan
+// values: backends append into it, results reference segments of it,
+// and the combiner copies those segments out before the next pass
+// truncates it, so its capacity amortizes to the largest scan pass.
 type shard struct {
-	idx int
-	in  chan pendingOp
-	be  backend
+	idx   int
+	in    chan pendingOp
+	be    backend
+	free  chan *pass // idle passes; one in memory, walCommitsPerShard with a WAL
+	arena []int64
 
-	batch   []pendingOp
-	ops     []wire.Op
-	results []wire.Result
-	arena   []int64
-
-	// durability (combiner goroutine only, except walFree's recycling
-	// side; all nil/zero when the WAL is off)
-	walSeq  uint64          // sequence of the last staged record
-	stage   *walCommit      // commit being filled by the current pass
-	walFree chan *walCommit // recycled commits, the staging backpressure
-	ctl     chan func()     // combiner-context control (snapshot dumps)
+	// durability (combiner goroutine only; zero/nil when the WAL is off,
+	// and a nil ctl is never ready)
+	walSeq uint64      // sequence of the last staged record
+	ctl    chan func() // combiner-context control (snapshot dumps)
 
 	batchSize  *obs.Histogram
 	queueDepth *obs.Gauge
 	combines   *obs.Counter
 	scanBatch  *obs.Histogram
+}
+
+// pass is one combine pass, from gather to ack: the ops the combiner
+// took from its queue, their packed wire form, the results, the staged
+// WAL record and the apply-end stamp. Preallocated at the frame limit
+// so a pass allocates nothing. The combiner fills it, then either
+// releases it at once (memory) or hands the pass itself down the WAL
+// commit FIFO, and release recycles it to its shard's free list — so
+// with a WAL the free list's depth is also the staging backpressure. A
+// pass with a nil shard is a WAL control item: fn runs on the writer
+// after everything before it is synced and acked.
+type pass struct {
+	sh      *shard
+	batch   []pendingOp
+	ops     []wire.Op
+	results []wire.Result
+	buf     []byte // staged WAL record; empty when the batch mutated nothing
+	end     int64  // apply-completion stamp
+	traced  bool   // any span in the batch
+	fn      func() // control item body (sh == nil)
+}
+
+// newPass allocates one pass for sh at the frame limit, with a record
+// buffer when the pass is to be staged into the WAL.
+func newPass(sh *shard, durable bool) *pass {
+	ps := &pass{
+		sh:      sh,
+		batch:   make([]pendingOp, 0, wire.MaxOpsPerFrame),
+		ops:     make([]wire.Op, 0, wire.MaxOpsPerFrame),
+		results: make([]wire.Result, wire.MaxOpsPerFrame),
+	}
+	if durable {
+		ps.buf = make([]byte, 0, wal.RecordCap(wire.MaxOpsPerFrame))
+	}
+	return ps
 }
 
 // New builds a server from cfg.
@@ -351,36 +353,26 @@ func New(cfg Config) (*Server, error) {
 			idx:        i,
 			in:         make(chan pendingOp, cfg.QueueDepth),
 			be:         be,
-			batch:      make([]pendingOp, 0, cfg.BatchMax),
-			ops:        make([]wire.Op, 0, cfg.BatchMax),
-			results:    make([]wire.Result, cfg.BatchMax),
 			batchSize:  cfg.Reg.Histogram(fmt.Sprintf("server/shard/%03d/batch_size", i)),
 			queueDepth: cfg.Reg.Gauge(fmt.Sprintf("server/shard/%03d/queue_depth", i)),
 			combines:   cfg.Reg.Counter(fmt.Sprintf("server/shard/%03d/combines", i)),
 			scanBatch:  cfg.Reg.Histogram(fmt.Sprintf("server/shard/%03d/scan_batch", i)),
 		}
+		depth := 1
 		if s.wal != nil {
+			depth = walCommitsPerShard
 			sh.ctl = make(chan func())
-			sh.walFree = make(chan *walCommit, walCommitsPerShard)
-			for j := 0; j < walCommitsPerShard; j++ {
-				sh.walFree <- &walCommit{
-					sh:      sh,
-					buf:     make([]byte, 0, wal.RecordCap(cfg.BatchMax)),
-					batch:   make([]pendingOp, 0, cfg.BatchMax),
-					results: make([]wire.Result, 0, cfg.BatchMax),
-				}
-			}
+		}
+		sh.free = make(chan *pass, depth)
+		for j := 0; j < depth; j++ {
+			sh.free <- newPass(sh, s.wal != nil)
 		}
 		s.shards = append(s.shards, sh)
 		s.shardWG.Add(1)
 		go s.combineLoop(sh)
 	}
 	if cfg.WindowTick > 0 {
-		tiers := cfg.WindowTiers
-		if tiers == nil {
-			tiers = obs.DefaultTiers(cfg.WindowTick)
-		}
-		win, err := obs.NewWindow(cfg.Reg, tiers)
+		win, err := obs.NewWindow(cfg.Reg, obs.DefaultTiers(cfg.WindowTick))
 		if err != nil {
 			return nil, err
 		}
@@ -584,87 +576,57 @@ func (s *Server) readLoop(c *conn) {
 func (s *Server) reject(c *conn, res wire.Result) {
 	s.opsBad.Inc()
 	c.inflight.Add(1)
-	c.deliver(delivery{res: res})
+	c.out <- delivery{res: res}
 	c.inflight.Done()
 }
 
 // combineLoop is one shard's combiner: it blocks for the first pending
-// op, greedily drains the rest of the queue (optionally lingering
-// CombineWait), executes the whole batch against the sequential
-// structure in one pass, and delivers the results.
+// op, takes an idle pass, greedily drains the rest of the queue into
+// it, executes the whole batch against the sequential structure in one
+// pass, and releases the acks — at once in memory, after the covering
+// sync with a WAL.
 func (s *Server) combineLoop(sh *shard) {
 	defer s.shardWG.Done()
-	traced := false // any span in the current batch
-	// take admits one op to the batch, stamping sampled ops' pickup
-	// time: everything before this instant is queue wait, everything
-	// until the batch executes is combine wait.
-	take := func(p pendingOp) {
-		if p.sp != nil {
-			p.sp.pick = s.now()
-			traced = true
-		}
-		sh.batch = append(sh.batch, p)
-	}
 	for {
 		var p pendingOp
 		var ok bool
-		if sh.ctl == nil {
-			p, ok = <-sh.in
-		} else {
-			// Durability adds one combiner-context control channel: the
-			// snapshot scheduler borrows the combiner between batches to
-			// dump the shard's state at a consistent point in its serial
-			// order.
+		select {
+		case p, ok = <-sh.in:
+			if !ok {
+				return
+			}
+		case f := <-sh.ctl:
+			// The snapshot scheduler borrows the combiner between passes
+			// to dump the shard's state at a consistent point in its
+			// serial order.
+			f()
+			continue
+		}
+		// Blocking here — the WAL writer holds every pass of the shard —
+		// is the WAL's backpressure, upstream of the window. In memory
+		// the shard's single pass is always back by now.
+		ps := <-sh.free
+		ps.batch, ps.traced = ps.batch[:0], false
+		// Gather greedily: p is the next op for as long as ok holds.
+		for ok {
+			// Stamp sampled ops' pickup: everything before this instant
+			// is queue wait, everything until the batch executes is
+			// combine wait.
+			if p.sp != nil {
+				p.sp.pick = s.now()
+				ps.traced = true
+			}
+			ps.batch = append(ps.batch, p)
+			if len(ps.batch) == wire.MaxOpsPerFrame {
+				break
+			}
 			select {
 			case p, ok = <-sh.in:
-			case f := <-sh.ctl:
-				f()
-				continue
-			}
-		}
-		if !ok {
-			return
-		}
-		sh.batch, traced = sh.batch[:0], false
-		take(p)
-	gather:
-		for len(sh.batch) < s.cfg.BatchMax {
-			select {
-			case p, ok := <-sh.in:
-				if !ok {
-					break gather
-				}
-				take(p)
 			default:
-				break gather
+				ok = false
 			}
 		}
-		if w := s.cfg.CombineWait; w > 0 && len(sh.batch) < s.cfg.BatchMax {
-			timer := time.NewTimer(w)
-		linger:
-			for len(sh.batch) < s.cfg.BatchMax {
-				select {
-				case p, ok := <-sh.in:
-					if !ok {
-						break linger
-					}
-					take(p)
-				case <-timer.C:
-					break linger
-				}
-			}
-			timer.Stop()
-		}
-		var cm *walCommit
-		if s.wal != nil {
-			// Acquire the staging commit before the pinned window fills
-			// it. Blocking here — the writer holds both of the shard's
-			// commits — is the WAL's backpressure, upstream of the window.
-			cm = <-sh.walFree
-			sh.stage = cm
-		}
-		end := s.applyBatch(sh, traced)
-		sh.stage = nil
+		s.applyBatch(sh, ps)
 
 		// Scan results reference segments of the shard's arena, which
 		// the next pass truncates and refills; copy them out here — in
@@ -673,9 +635,9 @@ func (s *Server) combineLoop(sh *shard) {
 		// slices the writer (and op log) can hold indefinitely. Point
 		// results carry no values and skip this entirely.
 		scans := int64(0)
-		for i := range sh.results {
-			if sh.results[i].Values != nil {
-				sh.results[i].Values = append([]int64(nil), sh.results[i].Values...)
+		for i := range ps.results {
+			if ps.results[i].Values != nil {
+				ps.results[i].Values = append([]int64(nil), ps.results[i].Values...)
 				scans++
 			}
 		}
@@ -683,64 +645,75 @@ func (s *Server) combineLoop(sh *shard) {
 			sh.scanBatch.Observe(scans)
 		}
 
-		s.cfg.Log.record(sh.batch, sh.results, end)
+		s.cfg.Log.record(ps.batch, ps.results, ps.end)
 		sh.combines.Inc()
-		sh.batchSize.Observe(int64(len(sh.batch)))
+		sh.batchSize.Observe(int64(len(ps.batch)))
 		sh.queueDepth.Set(int64(len(sh.in)))
-		s.opsTotal.Add(uint64(len(sh.batch)))
-		if cm != nil {
-			// Durable path: the WAL writer releases the acks once the
-			// staged record is on disk. Every batch rides the pipeline —
-			// even one that staged nothing — so an ack for a read that
-			// observed a write always follows that write's sync.
-			s.commit(sh, cm, end)
+		s.opsTotal.Add(uint64(len(ps.batch)))
+		if s.wal != nil {
+			// Durable path: the WAL writer releases the pass once its
+			// record is on disk. Every pass rides the pipeline — even one
+			// that staged nothing — so an ack for a read that observed a
+			// write always follows that write's sync.
+			s.wal.commits <- ps
 			continue
 		}
-		for i := range sh.batch {
-			p := &sh.batch[i]
-			s.opLatency.Observe(end - p.start)
-			if p.sp != nil {
-				p.sp.applied = end
-			}
-			p.conn.deliver(delivery{res: sh.results[i], sp: p.sp})
-			p.conn.inflight.Done()
-		}
+		s.release(ps, ps.end)
 	}
 }
 
 // applyBatch executes the gathered batch against the shard's sequential
 // structure: it stamps sampled ops' apply-start, packs the ops into the
-// shard's scratch, runs one ApplyBatch pass, and returns the completion
-// stamp. This is the combining window itself — every published op on
-// the shard waits for it — so it must neither allocate (GC pauses here
-// stall the whole shard) nor touch anything that can park the combiner
-// goroutine; channel hand-offs stay in combineLoop on either side.
+// pass, runs one ApplyBatch, stages the WAL record when durable, and
+// stamps completion. This is the combining window itself — every
+// published op on the shard waits for it — so it must neither allocate
+// (GC pauses here stall the whole shard) nor touch anything that can
+// park the combiner goroutine; channel hand-offs stay in combineLoop on
+// either side.
 //
 //pimvet:allocfree //pimvet:nonblocking
 //pimvet:window
-func (s *Server) applyBatch(sh *shard, traced bool) int64 {
-	if traced {
+func (s *Server) applyBatch(sh *shard, ps *pass) {
+	if ps.traced {
 		tApply := s.now()
-		for i := range sh.batch {
-			if sp := sh.batch[i].sp; sp != nil {
+		for i := range ps.batch {
+			if sp := ps.batch[i].sp; sp != nil {
 				sp.applyStart = tApply
 			}
 		}
 	}
-	sh.ops = sh.ops[:0]
-	for i := range sh.batch {
-		sh.ops = append(sh.ops, sh.batch[i].op)
+	ps.ops = ps.ops[:0]
+	for i := range ps.batch {
+		ps.ops = append(ps.ops, ps.batch[i].op)
 	}
-	sh.results = sh.results[:len(sh.batch)]
-	sh.arena = sh.be.ApplyBatch(sh.ops, sh.results, sh.arena[:0])
-	if sh.stage != nil {
+	ps.results = ps.results[:len(ps.batch)]
+	sh.arena = sh.be.ApplyBatch(ps.ops, ps.results, sh.arena[:0])
+	if s.wal != nil {
 		// Durability stages here, inside the window, but only as bytes
 		// in a preallocated buffer: the file write and fsync belong to
 		// the WAL writer goroutine (pimvet's window check enforces the
 		// split).
-		sh.stageRecord()
+		sh.stageRecord(ps)
 	}
-	return s.now()
+	ps.end = s.now()
+}
+
+// release acks every op of a finished pass — latency, span, delivery to
+// the connection's writer, inflight — and recycles the pass to its
+// shard. tAck is when the results became final: the apply end in
+// memory, the covering sync with a WAL. The sends block while a writer
+// is behind (bounded by WriteTimeout failing the conn).
+func (s *Server) release(ps *pass, tAck int64) {
+	for i := range ps.batch {
+		p := &ps.batch[i]
+		s.opLatency.Observe(tAck - p.start)
+		if p.sp != nil {
+			p.sp.applied = ps.end
+		}
+		p.conn.out <- delivery{res: ps.results[i], sp: p.sp}
+		p.conn.inflight.Done()
+	}
+	ps.sh.free <- ps
 }
 
 // closeGrace bounds how long a closing connection waits for the client

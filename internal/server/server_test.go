@@ -428,11 +428,20 @@ func TestGracefulDrainLosesNoAckedOps(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	go srv.Shutdown()
-	time.Sleep(10 * time.Millisecond)
-	// Mid-drain, /healthz must already report draining and not-ready —
-	// the load balancer's cue to stop routing here.
-	rec := httptest.NewRecorder()
-	srv.OpsHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/healthz", nil))
+	// Mid-drain, /healthz must report draining and not-ready — the load
+	// balancer's cue to stop routing here. Shutdown runs on its own
+	// goroutine, so poll until it has begun instead of guessing a sleep
+	// (10 ms was not always enough under -race). The drain cannot end
+	// meanwhile: the clients keep sending until stopSend closes.
+	ops := srv.OpsHandler()
+	var rec *httptest.ResponseRecorder
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		rec = httptest.NewRecorder()
+		ops.ServeHTTP(rec, httptest.NewRequest("GET", "/healthz", nil))
+		if rec.Code != 200 || time.Now().After(deadline) {
+			break
+		}
+	}
 	if rec.Code != 503 || !strings.Contains(rec.Body.String(), `"status": "draining"`) {
 		t.Errorf("mid-drain healthz: code %d body %s", rec.Code, rec.Body.String())
 	}

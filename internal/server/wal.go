@@ -43,26 +43,11 @@ const (
 	FsyncOff = "off"
 )
 
-// walCommitsPerShard is each shard's staging depth: one commit being
-// filled by the combiner while one drains through the writer. A shard
-// whose writer falls further behind blocks on its free list — the same
-// structural backpressure the publication queues apply.
+// walCommitsPerShard is each shard's pass count with a WAL: one pass
+// being filled by the combiner while one drains through the writer. A
+// shard whose writer falls further behind blocks on its free list —
+// the same structural backpressure the publication queues apply.
 const walCommitsPerShard = 2
-
-// walCommit carries one combiner batch through the commit pipeline:
-// the staged record bytes plus everything the writer needs to release
-// the batch's acks once those bytes are durable. A commit with a nil
-// shard is a control item — fn runs on the writer after everything
-// before it is synced and acked (snapshots use this to roll segments
-// at a known point in the commit order).
-type walCommit struct {
-	sh      *shard
-	buf     []byte        // staged record; empty when the batch mutated nothing
-	batch   []pendingOp   // the batch, copied out of the shard's scratch
-	results []wire.Result // matching results (scan values already copied out)
-	end     int64         // apply-completion stamp
-	fn      func()        // control item body (sh == nil)
-}
 
 // walState is the server's durability pipeline.
 type walState struct {
@@ -70,10 +55,10 @@ type walState struct {
 	always bool // fsync per record
 	off    bool // never fsync
 
-	log     *wal.Log        // writer goroutine only (after recovery)
-	commits chan *walCommit // combiners → writer, FIFO across shards
-	ackq    []*walCommit    // writer-local: appended but not yet synced+acked
-	pending int             // writer-local: records appended but not yet synced
+	log     *wal.Log   // writer goroutine only (after recovery)
+	commits chan *pass // combiners → writer, FIFO across shards
+	ackq    []*pass    // writer-local: appended but not yet synced+acked
+	pending int        // writer-local: records appended but not yet synced
 
 	started    bool // writer goroutine launched (guarded by Server.mu)
 	writerDone chan struct{}
@@ -95,7 +80,7 @@ type walState struct {
 func newWALState(cfg Config) (*walState, error) {
 	w := &walState{
 		dir:     cfg.WALDir,
-		commits: make(chan *walCommit, walCommitsPerShard*cfg.Shards+4),
+		commits: make(chan *pass, walCommitsPerShard*cfg.Shards+4),
 
 		records:  cfg.Reg.Counter("server/wal/records"),
 		bytes:    cfg.Reg.Counter("server/wal/bytes"),
@@ -119,64 +104,53 @@ func newWALState(cfg Config) (*walState, error) {
 	return w, nil
 }
 
-// stageRecord fills the acquired commit's record inside the combining
-// window: header, then every mutating op in batch order, then the CRC
-// seal. Read-only batches seal to an empty record — nothing to log,
-// but the commit still rides the pipeline so its acks stay ordered
-// after earlier durable writes. Part of the pinned window: stages
-// bytes only, never touches a file.
+// stageRecord fills the pass's record inside the combining window:
+// header, then every mutating op in batch order, then the CRC seal.
+// Read-only batches seal to an empty record — nothing to log, but the
+// pass still rides the pipeline so its acks stay ordered after earlier
+// durable writes. Part of the pinned window: stages bytes only, never
+// touches a file.
 //
 //pimvet:allocfree //pimvet:nonblocking
 //pimvet:window
-func (sh *shard) stageRecord() {
-	cm := sh.stage
-	cm.buf = wal.BeginRecord(cm.buf[:0], uint16(sh.idx), sh.walSeq+1)
+func (sh *shard) stageRecord(ps *pass) {
+	ps.buf = wal.BeginRecord(ps.buf[:0], uint16(sh.idx), sh.walSeq+1)
 	n := 0
-	for i := range sh.ops {
-		if sh.ops[i].Kind.Mutating() {
-			cm.buf = wire.AppendOp(cm.buf, sh.ops[i])
+	for i := range ps.ops {
+		if ps.ops[i].Kind.Mutating() {
+			ps.buf = wire.AppendOp(ps.buf, ps.ops[i])
 			n++
 		}
 	}
-	cm.buf = wal.FinishRecord(cm.buf, n)
+	ps.buf = wal.FinishRecord(ps.buf, n)
 	if n > 0 {
 		sh.walSeq++
 	}
 }
 
-// commit hands the finished batch to the WAL writer, which will
-// release the acks once the record is durable. The copies detach the
-// batch from the shard's scratch, which the next combine pass reuses.
-func (s *Server) commit(sh *shard, cm *walCommit, end int64) {
-	cm.end = end
-	cm.batch = append(cm.batch[:0], sh.batch...)
-	cm.results = append(cm.results[:0], sh.results...)
-	s.wal.commits <- cm
-}
-
-// walWriter is the dedicated writer goroutine: it gathers commits
+// walWriter is the dedicated writer goroutine: it gathers passes
 // greedily (mirroring the combiners' own gather loop), appends their
 // records through one buffered file, makes the group durable according
-// to the fsync policy, and only then releases each batch's acks and
-// recycles the commit to its shard's free list.
+// to the fsync policy, and only then releases each pass's acks, which
+// recycles the pass to its shard's free list.
 func (s *Server) walWriter() {
 	w := s.wal
 	defer close(w.writerDone)
 	for {
-		cm, ok := <-w.commits
+		ps, ok := <-w.commits
 		if !ok {
 			return
 		}
-		s.walAdmit(cm)
+		s.walAdmit(ps)
 	gather:
 		for {
 			select {
-			case cm, ok := <-w.commits:
+			case ps, ok := <-w.commits:
 				if !ok {
 					s.walRelease()
 					return
 				}
-				s.walAdmit(cm)
+				s.walAdmit(ps)
 			default:
 				break gather
 			}
@@ -185,29 +159,29 @@ func (s *Server) walWriter() {
 	}
 }
 
-// walAdmit appends one commit's record (if any), counting it in
+// walAdmit appends one pass's record (if any), counting it in
 // w.pending, and queues its acks; control items first retire
 // everything pending — including a real sync for any unsynced records
 // appended earlier in this gather pass — then run. In FsyncAlways mode
 // each admit retires immediately.
-func (s *Server) walAdmit(cm *walCommit) {
+func (s *Server) walAdmit(ps *pass) {
 	w := s.wal
-	if cm.fn != nil {
+	if ps.fn != nil {
 		s.walRelease()
-		cm.fn()
+		ps.fn()
 		return
 	}
-	if len(cm.buf) > 0 {
-		if err := w.log.Append(cm.buf); err != nil {
+	if len(ps.buf) > 0 {
+		if err := w.log.Append(ps.buf); err != nil {
 			// Durability is the contract; a log the server cannot append
 			// to means every future ack would be a lie. Fail stop.
 			panic(fmt.Sprintf("server: wal append: %v", err))
 		}
 		w.records.Inc()
-		w.bytes.Add(uint64(len(cm.buf)))
+		w.bytes.Add(uint64(len(ps.buf)))
 		w.pending++
 	}
-	w.ackq = append(w.ackq, cm)
+	w.ackq = append(w.ackq, ps)
 	if w.always {
 		s.walRelease()
 	}
@@ -233,18 +207,10 @@ func (s *Server) walRelease() {
 		return
 	}
 	tAck := s.now()
-	for _, cm := range w.ackq {
-		for i := range cm.batch {
-			p := &cm.batch[i]
-			s.opLatency.Observe(tAck - p.start)
-			if p.sp != nil {
-				p.sp.applied = cm.end
-			}
-			p.conn.deliver(delivery{res: cm.results[i], sp: p.sp})
-			p.conn.inflight.Done()
-		}
-		w.lag.Observe(tAck - cm.end)
-		cm.sh.walFree <- cm
+	for _, ps := range w.ackq {
+		// Read end before release hands the pass back to its combiner.
+		w.lag.Observe(tAck - ps.end)
+		s.release(ps, tAck)
 	}
 	w.ackq = w.ackq[:0]
 }
@@ -383,7 +349,7 @@ func (s *Server) snapshotOnce() error {
 	w := s.wal
 
 	rolled := make(chan uint64, 1)
-	w.commits <- &walCommit{fn: func() {
+	w.commits <- &pass{fn: func() {
 		if err := w.log.Roll(); err != nil {
 			panic(fmt.Sprintf("server: wal roll: %v", err))
 		}
